@@ -80,6 +80,23 @@ StatusOr<ObjectStore> ObjectStore::LoadFromFile(const std::string& path) {
   if (!ReadValue(f.get(), &count)) {
     return Status::Corruption("truncated object store: " + path);
   }
+  // The lengths below come from the file, so they are checked against the
+  // bytes left in it before they size any allocation.
+  const long header_end = std::ftell(f.get());
+  if (header_end < 0 || std::fseek(f.get(), 0, SEEK_END) != 0) {
+    return Status::Internal("cannot seek: " + path);
+  }
+  const long file_end = std::ftell(f.get());
+  if (file_end < header_end ||
+      std::fseek(f.get(), header_end, SEEK_SET) != 0) {
+    return Status::Internal("cannot seek: " + path);
+  }
+  uint64_t remaining = static_cast<uint64_t>(file_end - header_end);
+  constexpr uint64_t kObjectHeaderBytes = 2 * sizeof(uint64_t);
+  constexpr uint64_t kPointBytes = sizeof(Point);
+  if (count > remaining / kObjectHeaderBytes) {
+    return Status::Corruption("object count exceeds the file: " + path);
+  }
   std::vector<MapObject> objects;
   objects.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -91,6 +108,11 @@ StatusOr<ObjectStore> ObjectStore::LoadFromFile(const std::string& path) {
     if (id != i) {
       return Status::Corruption("non-dense object ids: " + path);
     }
+    remaining -= kObjectHeaderBytes;
+    if (num_points > remaining / kPointBytes) {
+      return Status::Corruption("point count exceeds the file: " + path);
+    }
+    remaining -= num_points * kPointBytes;
     std::vector<Point> points;
     points.reserve(num_points);
     for (uint64_t k = 0; k < num_points; ++k) {

@@ -107,6 +107,7 @@ class NativeJoiner {
     std::vector<std::pair<uint64_t, uint64_t>> candidates;
     NodeMatchScratch scratch;
     NativeWorkerStats stats;
+    int64_t busy_ns = 0;  // Becomes stats.busy_us at drain.
     std::vector<NodePair> children;  // Reused per directory pair.
   };
 
@@ -122,14 +123,16 @@ class NativeJoiner {
         } else {
           // Per-task wall-clock timing only on the instrumented path: the
           // disabled path above stays clock-free.
+          // Summed in nanoseconds: most items (one node pair) take well
+          // under a microsecond and would truncate to 0.
           const Clock::time_point task_start = Clock::now();
           ExecutePair(id, w, *item);
-          const int64_t task_us =
-              std::chrono::duration_cast<std::chrono::microseconds>(
+          const int64_t task_ns =
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
                   Clock::now() - task_start)
                   .count();
-          w.stats.busy_us += task_us;
-          metrics->Record(id, metric_task_duration_, task_us);
+          w.busy_ns += task_ns;
+          metrics->Record(id, metric_task_duration_, task_ns / 1000);
           metrics->Add(id, metric_tasks_, 1);
         }
         pool_.FinishItem();
@@ -137,6 +140,7 @@ class NativeJoiner {
       }
       if (pool_.Done()) {
         if (metrics != nullptr) {
+          w.stats.busy_us = w.busy_ns / 1000;
           // Totals that only exist at drain time; one flush per worker.
           metrics->Add(id, metric_node_pairs_,
                        w.stats.node_pairs_processed);

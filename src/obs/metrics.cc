@@ -57,13 +57,13 @@ MetricsRegistry::MetricsRegistry(int num_shards) : num_shards_(num_shards) {
 uint32_t MetricsRegistry::DefineNamed(std::string_view name, Kind kind) {
   PSJ_CHECK(!name.empty());
   util::MutexLock lock(&mu_);
-  PSJ_CHECK(!frozen()) << "metric defined after Freeze(): " << name;
   const auto it = index_.find(std::string(name));
   if (it != index_.end()) {
     PSJ_CHECK(it->second.first == kind)
         << "metric redefined with a different kind: " << name;
     return it->second.second;
   }
+  PSJ_CHECK(!frozen()) << "metric defined after Freeze(): " << name;
   std::vector<std::string>* names = nullptr;
   switch (kind) {
     case Kind::kCounter:

@@ -115,8 +115,10 @@ class MetricsRegistry {
   // ---- Definition phase (any thread; before Freeze()) ----
 
   /// Registers (or finds, by exact name) a monotone counter / last-write
-  /// gauge / log-bucket histogram. PSJ_CHECK-fails after Freeze() or when
-  /// the name is already bound to a different metric kind.
+  /// gauge / log-bucket histogram. PSJ_CHECK-fails when the name is already
+  /// bound to a different metric kind, or when it is new and the registry
+  /// is frozen; finding an existing metric works after Freeze() too, so a
+  /// component may run repeatedly against one registry.
   CounterId DefineCounter(std::string_view name) PSJ_EXCLUDES(mu_);
   GaugeId DefineGauge(std::string_view name) PSJ_EXCLUDES(mu_);
   HistogramId DefineHistogram(std::string_view name) PSJ_EXCLUDES(mu_);

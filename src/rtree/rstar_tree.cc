@@ -9,6 +9,7 @@
 
 #include "geo/node_scan.h"
 #include "geo/rect_batch.h"
+#include "rtree/choose_subtree.h"
 #include "util/check.h"
 #include "util/string_util.h"
 
@@ -160,7 +161,7 @@ void RStarTree::Insert(const Rect& rect, uint64_t oid) {
 }
 
 std::vector<uint32_t> RStarTree::ChoosePath(const Rect& rect,
-                                            int target_level) const {
+                                            int target_level) {
   PSJ_CHECK_LE(target_level, height_ - 1);
   std::vector<uint32_t> path;
   uint32_t current = root_page_;
@@ -173,32 +174,9 @@ std::vector<uint32_t> RStarTree::ChoosePath(const Rect& rect,
         options_.choose_subtree == ChooseSubtreePolicy::kRStar) {
       // Children are leaves: minimize overlap enlargement (R* CS2), ties by
       // area enlargement, then by area.
-      double best_overlap_delta = std::numeric_limits<double>::infinity();
-      double best_area_delta = std::numeric_limits<double>::infinity();
-      double best_area = std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < n.entries.size(); ++i) {
-        const Rect& candidate = n.entries[i].rect;
-        const Rect enlarged = candidate.UnionWith(rect);
-        double overlap_before = 0.0;
-        double overlap_after = 0.0;
-        for (size_t j = 0; j < n.entries.size(); ++j) {
-          if (j == i) continue;
-          overlap_before += candidate.IntersectionArea(n.entries[j].rect);
-          overlap_after += enlarged.IntersectionArea(n.entries[j].rect);
-        }
-        const double overlap_delta = overlap_after - overlap_before;
-        const double area_delta = candidate.Enlargement(rect);
-        const double area = candidate.Area();
-        if (overlap_delta < best_overlap_delta ||
-            (overlap_delta == best_overlap_delta &&
-             (area_delta < best_area_delta ||
-              (area_delta == best_area_delta && area < best_area)))) {
-          best = i;
-          best_overlap_delta = overlap_delta;
-          best_area_delta = area_delta;
-          best_area = area;
-        }
-      }
+      best = ChooseLeastOverlapEnlargement(
+          std::span<const RTreeEntry>(n.entries.begin(), n.entries.size()),
+          rect, &choose_scratch_);
     } else {
       // Children are directory nodes: minimize area enlargement, ties by
       // area.
@@ -538,7 +516,10 @@ RTreeEntry RStarTree::SplitNodeRStar(uint32_t page_no) {
 
   for (int axis = 0; axis < 2; ++axis) {
     double margin_sum = 0.0;
-    Candidate axis_best{axis, false, 0,
+    // Starts at the first distribution, not at an empty group: when every
+    // distribution's overlap and area are inf (1e300-sized entries) or
+    // NaN, no candidate compares smaller and this one is kept.
+    Candidate axis_best{axis, false, min_fill,
                         std::numeric_limits<double>::infinity(),
                         std::numeric_limits<double>::infinity()};
     for (int key = 0; key < 2; ++key) {
@@ -801,9 +782,12 @@ std::vector<RStarTree::Neighbor> RStarTree::KnnQuery(const Point& query,
     uint32_t page;       // Valid when !is_data.
     uint64_t object_id;  // Valid when is_data.
   };
+  // At equal MINDIST a node pops before a data entry: its subtree may hold
+  // objects at that same distance with lower ids, and only once every such
+  // node is expanded do the tied objects leave the heap in id order.
   const auto later = [](const HeapItem& a, const HeapItem& b) {
     if (a.dist_sq != b.dist_sq) return a.dist_sq > b.dist_sq;
-    if (a.is_data != b.is_data) return !a.is_data && b.is_data;
+    if (a.is_data != b.is_data) return a.is_data;
     return a.object_id > b.object_id;
   };
   std::priority_queue<HeapItem, std::vector<HeapItem>, decltype(later)> heap(

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "geo/rect.h"
+#include "rtree/choose_subtree.h"
 #include "rtree/node.h"
 #include "rtree/node_soa.h"
 #include "storage/page_file.h"
@@ -200,7 +201,7 @@ class RStarTree {
 
   /// Chooses the insertion path (root → node at `target_level`) for `rect`,
   /// applying the R* ChooseSubtree criteria.
-  std::vector<uint32_t> ChoosePath(const Rect& rect, int target_level) const;
+  std::vector<uint32_t> ChoosePath(const Rect& rect, int target_level);
 
   /// Inserts `entry` into a node at `target_level`, handling overflow with
   /// forced reinsertion / splits. `reinserted` has one flag per level.
@@ -261,6 +262,8 @@ class RStarTree {
   TreePhase phase_ = TreePhase::kMutable;
   /// Duration of the most recent Seal() (see last_seal_micros()).
   int64_t last_seal_micros_ = 0;
+  /// Buffers of ChoosePath's CS2 step, reused across insertions.
+  ChooseSubtreeScratch choose_scratch_;
 };
 
 }  // namespace psj

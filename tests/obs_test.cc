@@ -197,6 +197,19 @@ TEST(MetricsRegistryTest, DefineIsIdempotentByName) {
   EXPECT_EQ(h1.index, h2.index);
 }
 
+TEST(MetricsRegistryTest, DefineAfterFreezeFindsTheExistingMetric) {
+  MetricsRegistry registry(2);
+  const obs::CounterId ops = registry.DefineCounter("test_ops_count");
+  const obs::HistogramId lat = registry.DefineHistogram("test_lat_us");
+  registry.Freeze();
+  EXPECT_EQ(registry.DefineCounter("test_ops_count").index, ops.index);
+  EXPECT_EQ(registry.DefineHistogram("test_lat_us").index, lat.index);
+  EXPECT_DEATH(registry.DefineCounter("test_new_count"),
+               "metric defined after Freeze.*test_new_count");
+  EXPECT_DEATH(registry.DefineGauge("test_ops_count"),
+               "metric redefined with a different kind");
+}
+
 TEST(MetricsRegistryTest, PreFreezeSnapshotHasAllZeroShape) {
   MetricsRegistry registry(4);
   registry.DefineCounter("test_ops_count");
@@ -656,6 +669,59 @@ TEST(NativeObsTest, RegistryTotalsMatchPerWorkerStats) {
   for (const native::NativeWorkerStats& w : without.per_worker) {
     EXPECT_EQ(w.busy_us, 0);
   }
+}
+
+// A second run against the same (now frozen) registry finds its metrics
+// again and keeps adding to them.
+TEST(NativeObsTest, TwoJoinsShareOneRegistry) {
+  const ObsServeFixture fixture(800, 700, 94);
+  native::NativeJoinConfig config;
+  config.num_threads = 2;
+  MetricsRegistry registry(config.num_threads);
+  config.metrics = &registry;
+
+  int64_t tasks = 0;
+  int64_t candidates = 0;
+  for (int run = 0; run < 2; ++run) {
+    const native::NativeJoinResult result =
+        NativeRTreeJoin(fixture.tree_r, fixture.tree_s, config);
+    for (const native::NativeWorkerStats& w : result.per_worker) {
+      tasks += w.tasks_executed;
+      candidates += w.candidates;
+    }
+  }
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.FindCounter("native_tasks_executed_count")->value,
+            tasks);
+  EXPECT_EQ(snapshot.FindCounter("native_candidates_count")->value,
+            candidates);
+  EXPECT_EQ(snapshot.FindHistogram("native_task_duration_us")
+                ->histogram.total_count(),
+            tasks);
+}
+
+// Most work items are one node pair and take well under a microsecond;
+// busy time is summed before it is rounded to microseconds, so it neither
+// vanishes nor exceeds the workers' combined wall time.
+TEST(NativeObsTest, BusyTimeCountsSubMicrosecondItems) {
+  const ObsServeFixture fixture(4000, 4000, 95);
+  native::NativeJoinConfig config;
+  config.num_threads = 2;
+  MetricsRegistry registry(config.num_threads);
+  config.metrics = &registry;
+  const native::NativeJoinResult result =
+      NativeRTreeJoin(fixture.tree_r, fixture.tree_s, config);
+
+  int64_t tasks = 0;
+  int64_t busy_us = 0;
+  for (const native::NativeWorkerStats& w : result.per_worker) {
+    tasks += w.tasks_executed;
+    busy_us += w.busy_us;
+  }
+  ASSERT_GT(tasks, 500);
+  EXPECT_GT(busy_us, 0);
+  EXPECT_LE(static_cast<double>(busy_us),
+            config.num_threads * result.wall_ms * 1000.0);
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 #include <set>
 #include <vector>
 
+#include "core/experiment.h"
 #include "rtree/rstar_tree.h"
 #include "rtree/validator.h"
 #include "storage/page_file.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace psj {
@@ -153,6 +155,21 @@ TEST(RStarTreeTest, DuplicateRectsWithDistinctIdsSupported) {
   EXPECT_EQ(tree.WindowQuery(r).size(), 30u);
   EXPECT_TRUE(tree.Delete(r, 17));
   EXPECT_EQ(tree.WindowQuery(r).size(), 29u);
+}
+
+TEST(RStarTreeTest, OverflowingAreasStillSplitIntoNonEmptyNodes) {
+  // Every split distribution of these entries has an infinite overlap and
+  // area, so none compares smaller than another; the split must still
+  // leave both groups at least min-fill.
+  RStarTree tree(1, SmallOptions());
+  Rng rng(12);
+  for (uint64_t i = 0; i < 200; ++i) {
+    const double x = rng.NextDoubleInRange(-1e300, 1e300);
+    tree.Insert(Rect(x - 1e300, -1e300, x + 1e300, 1e300), i);
+  }
+  EXPECT_TRUE(ValidateRTree(tree).ok());
+  EXPECT_EQ(tree.num_data_entries(), 200);
+  EXPECT_EQ(tree.WindowQuery(Rect(0, 0, 0, 0)).size(), 200u);
 }
 
 TEST(RStarTreeTest, ForcedReinsertCanBeDisabled) {
@@ -338,6 +355,25 @@ TEST(RStarTreeKnnTest, PaperFanoutLargeTreeMatchesLinearScan) {
   }
 }
 
+TEST(RStarTreeKnnTest, TiedDistancesComeOutInIdOrder) {
+  // 40 rectangles touching the origin, alternating between the lower-left
+  // and the upper-right quadrant, so with the paper's leaf capacity of 26
+  // they split over two leaves; every one is at distance 0.
+  RStarTree tree(1);
+  for (uint64_t id = 0; id < 40; ++id) {
+    const double w = 1.0 + 0.01 * static_cast<double>(id);
+    tree.Insert(id % 2 == 0 ? Rect(-w, -1.0, 0.0, 0.0) : Rect(0.0, 0.0, w, 1.0),
+                id);
+  }
+  ASSERT_EQ(tree.height(), 2);
+  const auto neighbors = tree.KnnQuery(Point{0.0, 0.0}, 4);
+  ASSERT_EQ(neighbors.size(), 4u);
+  for (uint64_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(neighbors[k].object_id, k);
+    EXPECT_EQ(neighbors[k].distance, 0.0);
+  }
+}
+
 TEST(MinDistSqTest, InsideOnBoundaryOutside) {
   const Rect box(0, 0, 2, 2);
   EXPECT_DOUBLE_EQ(MinDistSq(Point{1, 1}, box), 0.0);
@@ -345,6 +381,122 @@ TEST(MinDistSqTest, InsideOnBoundaryOutside) {
   EXPECT_DOUBLE_EQ(MinDistSq(Point{3, 1}, box), 1.0);
   EXPECT_DOUBLE_EQ(MinDistSq(Point{3, 3}, box), 2.0);
   EXPECT_DOUBLE_EQ(MinDistSq(Point{-1, -2}, box), 5.0);
+}
+
+// 64-bit FNV-1a over every page image of the packed tree, metadata page
+// included: a different page numbering, entry order or a single coordinate
+// bit changes the value.
+uint64_t PageImageFingerprint(const RStarTree& tree) {
+  PageFile file(tree.tree_id());
+  PSJ_CHECK(tree.PackToPageFile(&file).ok());
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (uint32_t p = 0; p < file.num_pages(); ++p) {
+    for (const std::byte b : file.ReadPage(p)) {
+      hash = (hash ^ static_cast<uint64_t>(b)) * 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+const PaperWorkload& PaperMapsAtScale005() {
+  static const PaperWorkload* const workload =
+      new PaperWorkload(PaperWorkloadSpec().Scaled(0.05));
+  return *workload;
+}
+
+// Inserts every object of `store`, then deletes every third one, so that
+// tree condensation reinserts the orphaned entries.
+RStarTree BuildThenDeleteEveryThird(uint32_t tree_id,
+                                    const ObjectStore& store) {
+  RStarTree tree(tree_id);
+  for (const MapObject& obj : store.objects()) {
+    tree.Insert(obj.Mbr(), obj.id);
+  }
+  for (const MapObject& obj : store.objects()) {
+    if (obj.id % 3 == 0) {
+      PSJ_CHECK(tree.Delete(obj.Mbr(), obj.id));
+    }
+  }
+  return tree;
+}
+
+// The insertion-built trees are pinned page for page: these fingerprints
+// were recorded with the all-pairs R* ChooseSubtree and must not move when
+// its implementation changes. The paper figures, the goldens and the
+// simulated costs all follow from these exact pages.
+TEST(RStarTreeIdentityTest, PaperMapsAtScale005AreUnchanged) {
+  const PaperWorkload& workload = PaperMapsAtScale005();
+  EXPECT_EQ(PageImageFingerprint(workload.tree_r()),  // Streets.
+            0xc8f9040e85377f09ULL);
+  EXPECT_EQ(PageImageFingerprint(workload.tree_s()),  // Mixed.
+            0x4d78141bdbc0f2cdULL);
+}
+
+TEST(RStarTreeIdentityTest, DeleteDrivenReinsertionIsUnchanged) {
+  const PaperWorkload& workload = PaperMapsAtScale005();
+  const RStarTree streets = BuildThenDeleteEveryThird(1, workload.store_r());
+  const RStarTree mixed = BuildThenDeleteEveryThird(2, workload.store_s());
+  ASSERT_TRUE(ValidateRTree(streets).ok());
+  ASSERT_TRUE(ValidateRTree(mixed).ok());
+  EXPECT_EQ(PageImageFingerprint(streets), 0xe6815c431fe10ff4ULL);
+  EXPECT_EQ(PageImageFingerprint(mixed), 0xa89b3bbe22e84862ULL);
+}
+
+// Small fanouts and a hostile rectangle mix: exact duplicates, points and
+// segments, rectangles touching or nested in the previous one, and
+// 1.2e154-wide ones whose areas are finite but whose overlap sums overflow
+// to infinity (the all-pairs fallback of ChooseSubtree), under interleaved
+// inserts and deletes.
+TEST(RStarTreeIdentityTest, HostileSmallFanoutWorkloadIsUnchanged) {
+  RStarTree tree(3, SmallOptions());
+  Rng rng(2026);
+  std::vector<std::pair<Rect, uint64_t>> live;
+  Rect prev(0.5, 0.5, 0.6, 0.6);
+  for (uint64_t id = 0; id < 1500; ++id) {
+    if (!live.empty() && rng.NextBool(0.25)) {
+      const size_t pick = rng.NextBelow(live.size());
+      ASSERT_TRUE(tree.Delete(live[pick].first, live[pick].second));
+      live.erase(live.begin() + static_cast<long>(pick));
+      continue;
+    }
+    Rect r;
+    switch (rng.NextBelow(7)) {
+      case 0:
+        r = prev;  // Exact duplicate.
+        break;
+      case 1: {  // Point.
+        const double x = rng.NextDouble();
+        const double y = rng.NextDouble();
+        r = Rect(x, y, x, y);
+        break;
+      }
+      case 2: {  // Horizontal segment.
+        const double x = rng.NextDouble();
+        const double y = rng.NextDouble();
+        r = Rect(x, y, x + 0.05 * rng.NextDouble(), y);
+        break;
+      }
+      case 3:  // Touching the previous one along its right edge.
+        r = Rect(prev.xu, prev.yl, prev.xu + 0.01, prev.yu);
+        break;
+      case 4:  // Nested in the previous one.
+        r = Rect(prev.xl + 0.25 * prev.Width(), prev.yl + 0.25 * prev.Height(),
+                 prev.xu - 0.25 * prev.Width(), prev.yu - 0.25 * prev.Height());
+        break;
+      case 5:
+        r = rng.NextBool(0.1) ? Rect(-6e153, -6e153, 6e153, 6e153)
+                              : RandomRect(rng, 0.2);
+        break;
+      default:
+        r = RandomRect(rng, 0.02);
+        break;
+    }
+    tree.Insert(r, id);
+    live.emplace_back(r, id);
+    prev = r;
+  }
+  ASSERT_TRUE(ValidateRTree(tree).ok());
+  EXPECT_EQ(PageImageFingerprint(tree), 0x22d0830cbdfbf0f3ULL);
 }
 
 class RStarTreeValiditySweep : public ::testing::TestWithParam<uint64_t> {};
