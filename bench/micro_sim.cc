@@ -1,6 +1,6 @@
 // micro_sim — wall-clock microbenchmarks of the simulation substrate.
 //
-// Measures, for each scheduler backend (thread, fiber when available):
+// Measures, for the fiber scheduler:
 //   handoff       ns per real yield between two alternating processes
 //   fast_path     ns per Sync() elided by the min-clock fast path
 //   resource      ns per contended Resource::Use across 8 processes
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "sim/fiber_context.h"
 #include "sim/simulation.h"
 
 namespace psj {
@@ -28,7 +27,6 @@ using sim::Mailbox;
 using sim::Process;
 using sim::Resource;
 using sim::Scheduler;
-using sim::SchedulerBackend;
 using sim::SimTime;
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -39,8 +37,8 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 // Two processes yield to strictly interleaved times, so every yield is a
 // real handoff (the fast path never applies). Returns ns per handoff.
-double BenchHandoff(SchedulerBackend backend, int yields_per_process) {
-  Scheduler sched(backend);
+double BenchHandoff(int yields_per_process) {
+  Scheduler sched;
   for (int i = 0; i < 2; ++i) {
     sched.Spawn([i, yields_per_process](Process& p) {
       for (int k = 1; k <= yields_per_process; ++k) {
@@ -55,8 +53,8 @@ double BenchHandoff(SchedulerBackend backend, int yields_per_process) {
 }
 
 // A lone process syncing repeatedly: every yield takes the fast path.
-double BenchFastPath(SchedulerBackend backend, int yields) {
-  Scheduler sched(backend);
+double BenchFastPath(int yields) {
+  Scheduler sched;
   sched.Spawn([yields](Process& p) {
     for (int k = 0; k < yields; ++k) {
       p.Advance(5);
@@ -69,8 +67,8 @@ double BenchFastPath(SchedulerBackend backend, int yields) {
 }
 
 // Eight processes contend for one server; ns per Use (queueing included).
-double BenchResource(SchedulerBackend backend, int ops_per_process) {
-  Scheduler sched(backend);
+double BenchResource(int ops_per_process) {
+  Scheduler sched;
   Resource disk("disk");
   for (int i = 0; i < 8; ++i) {
     sched.Spawn([&disk, i, ops_per_process](Process& p) {
@@ -87,8 +85,8 @@ double BenchResource(SchedulerBackend backend, int ops_per_process) {
 }
 
 // Two processes exchange messages through two mailboxes; ns per roundtrip.
-double BenchMailbox(SchedulerBackend backend, int roundtrips) {
-  Scheduler sched(backend);
+double BenchMailbox(int roundtrips) {
+  Scheduler sched;
   Mailbox<int> to_echo;
   Mailbox<int> to_driver;
   Process* echo = sched.Spawn([&](Process& p) {
@@ -109,25 +107,6 @@ double BenchMailbox(SchedulerBackend backend, int roundtrips) {
   return SecondsSince(start) * 1e9 / static_cast<double>(roundtrips);
 }
 
-struct BackendRow {
-  const char* backend;
-  double handoff_ns = 0;
-  double fast_path_ns = 0;
-  double resource_ns = 0;
-  double mailbox_ns = 0;
-};
-
-BackendRow BenchBackend(SchedulerBackend backend, const char* name) {
-  BackendRow row;
-  row.backend = name;
-  // Warm up once (thread creation, allocator), then measure.
-  BenchHandoff(backend, 1'000);
-  row.handoff_ns = BenchHandoff(backend, 50'000);
-  row.fast_path_ns = BenchFastPath(backend, 200'000);
-  row.resource_ns = BenchResource(backend, 5'000);
-  row.mailbox_ns = BenchMailbox(backend, 20'000);
-  return row;
-}
 
 // A 6-config gd sweep, timed once on a single-thread driver and once on
 // the default pool. Same configs, bit-identical results; only wall-clock
@@ -157,31 +136,19 @@ double TimeSweep(const std::vector<ParallelJoinConfig>& configs,
 int Main(int argc, char** argv) {
   bench::PrintHeader(
       "micro_sim — simulator substrate wall-clock costs",
-      "fiber handoff >= 10x cheaper than the thread backend's mutex+CV "
-      "roundtrip; the parallel sweep driver scales with host cores "
-      "(speedup ~1x on a single-core host)");
+      "a fiber handoff costs tens of nanoseconds; the parallel sweep driver "
+      "scales with host cores (speedup ~1x on a single-core host)");
 
-  std::vector<BackendRow> rows;
-  rows.push_back(BenchBackend(SchedulerBackend::kThread, "thread"));
-  if (sim::FiberContext::Supported()) {
-    rows.push_back(BenchBackend(SchedulerBackend::kFiber, "fiber"));
-  } else {
-    std::printf("(fiber backend not available in this build)\n");
-  }
-
-  std::printf("%-8s %14s %14s %14s %14s\n", "backend", "handoff ns",
-              "fast-path ns", "resource ns", "mailbox ns");
-  for (const BackendRow& row : rows) {
-    std::printf("%-8s %14.1f %14.1f %14.1f %14.1f\n", row.backend,
-                row.handoff_ns, row.fast_path_ns, row.resource_ns,
-                row.mailbox_ns);
-  }
-  const double handoff_speedup =
-      rows.size() > 1 ? rows[0].handoff_ns / rows[1].handoff_ns : 1.0;
-  if (rows.size() > 1) {
-    std::printf("\nfiber handoff speedup over thread backend: %.1fx\n",
-                handoff_speedup);
-  }
+  // Warm up once (stack allocation, allocator), then measure.
+  BenchHandoff(1'000);
+  const double handoff_ns = BenchHandoff(50'000);
+  const double fast_path_ns = BenchFastPath(200'000);
+  const double resource_ns = BenchResource(5'000);
+  const double mailbox_ns = BenchMailbox(20'000);
+  std::printf("%14s %14s %14s %14s\n", "handoff ns", "fast-path ns",
+              "resource ns", "mailbox ns");
+  std::printf("%14.1f %14.1f %14.1f %14.1f\n", handoff_ns, fast_path_ns,
+              resource_ns, mailbox_ns);
 
   const int host_threads =
       static_cast<int>(std::thread::hardware_concurrency());
@@ -208,25 +175,17 @@ int Main(int argc, char** argv) {
   json.Int(host_threads);
   json.Key("units");
   json.String("ns_per_op");
-  json.Key("backends");
-  json.BeginArray();
-  for (const BackendRow& row : rows) {
-    json.BeginObject();
-    json.Key("backend");
-    json.String(row.backend);
-    json.Key("handoff_ns");
-    json.Double(row.handoff_ns);
-    json.Key("fast_path_yield_ns");
-    json.Double(row.fast_path_ns);
-    json.Key("resource_use_ns");
-    json.Double(row.resource_ns);
-    json.Key("mailbox_roundtrip_ns");
-    json.Double(row.mailbox_ns);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.Key("fiber_handoff_speedup");
-  json.Double(handoff_speedup);
+  json.Key("scheduler");
+  json.BeginObject();
+  json.Key("handoff_ns");
+  json.Double(handoff_ns);
+  json.Key("fast_path_yield_ns");
+  json.Double(fast_path_ns);
+  json.Key("resource_use_ns");
+  json.Double(resource_ns);
+  json.Key("mailbox_roundtrip_ns");
+  json.Double(mailbox_ns);
+  json.EndObject();
   json.Key("sweep");
   json.BeginObject();
   json.Key("num_joins");

@@ -38,7 +38,7 @@ class WindowQueryDriver {
         objects_(objects),
         window_(window),
         config_(config),
-        scheduler_(config.scheduler_backend, config.tiebreak),
+        scheduler_(config.tiebreak),
         disks_(config.num_disks, config.costs.disk),
         pool_(config.num_processors, tree.height(), config.costs,
               config.seed) {

@@ -1,7 +1,9 @@
 #include "data/map_object.h"
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "util/check.h"
 #include "util/string_util.h"
@@ -119,6 +121,11 @@ StatusOr<ObjectStore> ObjectStore::LoadFromFile(const std::string& path) {
       Point p;
       if (!ReadValue(f.get(), &p.x) || !ReadValue(f.get(), &p.y)) {
         return Status::Corruption("truncated object store: " + path);
+      }
+      // A NaN would make the MBR's min/max folds depend on operand order.
+      if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+        return Status::Corruption("non-finite coordinate in object " +
+                                  std::to_string(i) + ": " + path);
       }
       points.push_back(p);
     }

@@ -18,9 +18,9 @@
 /// every cost is wall-clock. The simulator stays the bit-deterministic
 /// oracle; this engine is what runs fast on the hardware.
 ///
-/// src/native/ is the sanctioned host-threading zone outside the scheduler
-/// backend (tools/psj_lint.py allowlists the directory); nothing under
-/// src/sim, src/core, or src/join may spawn threads.
+/// src/native/ is a sanctioned host-threading zone (tools/psj_lint.py
+/// allowlists the directory); nothing under src/sim, src/join, or src/core
+/// other than the experiment driver may spawn threads.
 
 namespace psj::native {
 

@@ -26,7 +26,7 @@ std::string RenderMarkdownReport(
   out +=
       "Scaled-down reproductions of the paper's figures and tables, run "
       "through the deterministic virtual-time simulator. All values are "
-      "exact across reruns and scheduler backends.\n\n";
+      "exact across reruns.\n\n";
 
   out += "| artifact | title | golden |\n";
   out += "|---|---|---|\n";

@@ -24,7 +24,7 @@ struct FigureReportEntry {
 /// closing speedup-decomposition section when profiles were collected.
 ///
 /// Deterministic: depends only on the inputs, so the report is
-/// byte-identical across scheduler backends and reruns.
+/// byte-identical across reruns.
 std::string RenderMarkdownReport(
     const std::vector<FigureReportEntry>& entries,
     const std::vector<SpeedupDecomposition>& profiles);

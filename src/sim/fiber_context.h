@@ -9,11 +9,9 @@ namespace psj::sim {
 
 /// \brief One stackful user-mode execution context (a fiber).
 ///
-/// The simulation scheduler's fast backend: instead of parking every
-/// simulated processor on its own OS thread and paying a mutex +
-/// condition-variable kernel roundtrip per virtual-time handoff, each
-/// processor owns a FiberContext and control moves between them with a
-/// user-space register switch (tens of nanoseconds).
+/// The simulation scheduler's execution substrate: each simulated processor
+/// owns a FiberContext, and control moves between them with a user-space
+/// register switch (tens of nanoseconds) instead of an OS-level handoff.
 ///
 /// Two flavors exist:
 ///  - the *main* context (default constructor): adopts the calling thread's
@@ -28,13 +26,14 @@ namespace psj::sim {
 /// thread. Nothing here is thread safe; the scheduler's single-runner
 /// discipline is the synchronization.
 ///
-/// On x86-64 the switch is a handful of inline-assembly instructions that
-/// save/restore the callee-saved registers — no syscalls at all (ucontext's
-/// swapcontext would issue two sigprocmask calls per switch). Other POSIX
-/// platforms fall back to ucontext. Builds with sanitizers compile the
-/// implementation out entirely (Supported() returns false) because ASan and
-/// TSan track stacks per OS thread and would report false positives on
-/// foreign-stack switches; the thread backend covers those builds.
+/// On x86-64 Linux the switch is a handful of inline-assembly instructions
+/// that save/restore the callee-saved registers — no syscalls at all
+/// (ucontext's swapcontext would issue two sigprocmask calls per switch).
+/// Other POSIX hosts use ucontext; anything else fails to compile. ASan and
+/// TSan builds annotate every switch (__sanitizer_*_switch_fiber,
+/// __tsan_*_fiber), so both sanitizers follow the stack changes: ASan keeps
+/// its fake-stack bookkeeping per fiber, and TSan keeps a shadow stack per
+/// fiber and treats each switch as a happens-before edge.
 class FiberContext {
  public:
   /// Adopts the calling thread's current stack as the main context. Only
@@ -54,15 +53,12 @@ class FiberContext {
   /// `to`. Returns when some other context switches back to *this*.
   void SwitchTo(FiberContext& to);
 
-  /// True when this build carries a usable fiber implementation.
-  static bool Supported();
+  /// Stack size of the scheduler's fibers. Sanitizer builds use the same
+  /// size, so a body that fits in a Release build fits in every build.
+  static constexpr size_t kStackSize = 256 * 1024;
 
-  /// Stack size used by the scheduler's fibers: PSJ_SIM_STACK_KB
-  /// (kilobytes) from the environment, default 256 KiB.
-  static size_t DefaultStackSize();
-
-  /// Backend-specific state; public only so the extern "C" entry
-  /// trampolines in fiber_context.cc can name it.
+  /// Platform- and sanitizer-specific state; public only so the extern "C"
+  /// entry trampolines in fiber_context.cc can name it.
   struct Impl;
 
  private:

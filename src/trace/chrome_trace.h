@@ -28,8 +28,7 @@ void WriteHistogramJson(JsonWriter& json, const Histogram& histogram);
 /// histogram summaries ride along in a top-level `"psj"` metadata object.
 ///
 /// Deterministic: events are stably sorted by (start, record order), so two
-/// runs with identical virtual-time behavior export byte-identical strings
-/// regardless of scheduler backend.
+/// runs with identical virtual-time behavior export byte-identical strings.
 std::string ExportChromeTrace(const TraceSink& sink);
 
 /// Writes ExportChromeTrace(sink) to `path` (trailing newline); returns

@@ -111,15 +111,15 @@ class Histogram {
 /// named counter registry, and named fixed-bucket histograms.
 ///
 /// Not thread safe by design: one sink belongs to exactly one simulation,
-/// whose scheduler runs one process at a time (handoffs establish
-/// happens-before on the thread backend), so recording needs no locks.
+/// whose scheduler runs one process at a time on one OS thread, so
+/// recording needs no locks.
 /// Instrumentation sites hold a `TraceSink*` that is null by default; the
 /// disabled path is a single pointer test with no allocation and no
 /// side effects.
 ///
 /// Determinism contract: events are recorded in dispatch order, which is a
-/// pure function of the virtual-time schedule — identical across scheduler
-/// backends and repeated runs, so exports are byte-identical.
+/// pure function of the virtual-time schedule — identical across repeated
+/// runs, so exports are byte-identical.
 class TraceSink {
  public:
   TraceSink() = default;

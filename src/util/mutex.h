@@ -11,8 +11,8 @@ namespace psj::util {
 
 /// \brief Capability-typed wrapper over std::mutex.
 ///
-/// Every host-threaded subsystem (src/native, src/serve, the sim thread
-/// backend, the experiment driver) locks through this type, never through a
+/// Every host-threaded subsystem (src/native, src/serve, src/obs, the
+/// experiment driver) locks through this type, never through a
 /// raw std::mutex: the PSJ_CAPABILITY annotation is what lets clang's
 /// thread-safety analysis connect PSJ_GUARDED_BY members to the lock
 /// acquisitions that protect them. The wrapper is a zero-cost inline

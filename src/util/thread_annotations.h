@@ -70,8 +70,7 @@
   PSJ_THREAD_ANNOTATION__(acquired_after(__VA_ARGS__))
 
 /// Escape hatch: disables the analysis for one function. Every use MUST
-/// carry a comment stating why the contract holds anyway (e.g. the fiber
-/// scheduler backend runs all processes on one OS thread, a regime the
+/// carry a comment stating why the contract holds anyway (a regime the
 /// static analysis cannot express); TSan CI remains the dynamic check.
 #define PSJ_NO_THREAD_SAFETY_ANALYSIS \
   PSJ_THREAD_ANNOTATION__(no_thread_safety_analysis)

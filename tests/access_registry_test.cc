@@ -285,7 +285,7 @@ TEST(SchedulerDeadlockDeathTest, AllBlockedProcessesAbortWithListing) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        sim::Scheduler scheduler(sim::SchedulerBackend::kThread);
+        sim::Scheduler scheduler;
         scheduler.Spawn([](sim::Process& p) { p.Block(); });
         scheduler.Spawn([](sim::Process& p) { p.Block(); });
         scheduler.Run();

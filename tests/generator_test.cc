@@ -156,30 +156,50 @@ TEST(ObjectStoreTest, SaveLoadRoundTrip) {
   std::remove(path.c_str());
 }
 
+constexpr uint64_t kStoreMagic = 0x50534a4f424a5331ULL;  // "PSJOBJS1"
+
+// Writes a hand-made object store file, word by word.
+void WriteWords(const std::string& path,
+                std::initializer_list<uint64_t> words) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  for (const uint64_t w : words) {
+    ASSERT_EQ(std::fwrite(&w, sizeof(w), 1, f), 1u);
+  }
+  std::fclose(f);
+}
+
 // Lengths read from the file must be checked before they size an
 // allocation: a 16-byte file with a valid magic and a count of 2^60 once
 // aborted in vector::reserve.
 TEST(ObjectStoreTest, HugeCountsAreCorruptionNotACrash) {
   const std::string path = ::testing::TempDir() + "/psj_store_huge.bin";
-  const uint64_t magic = 0x50534a4f424a5331ULL;  // "PSJOBJS1"
-  const auto write = [&path](std::initializer_list<uint64_t> words) {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    for (const uint64_t w : words) {
-      ASSERT_EQ(std::fwrite(&w, sizeof(w), 1, f), 1u);
-    }
-    std::fclose(f);
-  };
-  write({magic, uint64_t{1} << 60});
+  WriteWords(path, {kStoreMagic, uint64_t{1} << 60});
   EXPECT_TRUE(ObjectStore::LoadFromFile(path).status().IsCorruption());
   // One object claiming 2^60 points.
-  write({magic, 1, 0, uint64_t{1} << 60});
+  WriteWords(path, {kStoreMagic, 1, 0, uint64_t{1} << 60});
   EXPECT_TRUE(ObjectStore::LoadFromFile(path).status().IsCorruption());
   // Counts that fit the bytes still load.
-  write({magic, 1, 0, 1, 0x3ff0000000000000ULL, 0x4000000000000000ULL});
+  WriteWords(path, {kStoreMagic, 1, 0, 1, 0x3ff0000000000000ULL,
+                    0x4000000000000000ULL});
   const auto loaded = ObjectStore::LoadFromFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->Get(0).Mbr(), Rect(1.0, 2.0, 1.0, 2.0));
+  std::remove(path.c_str());
+}
+
+// A NaN coordinate would reach the MBR's min/max folds, whose result then
+// depends on operand order; infinities are no map coordinates either.
+TEST(ObjectStoreTest, NonFiniteCoordinatesAreCorruption) {
+  const std::string path = ::testing::TempDir() + "/psj_store_nonfinite.bin";
+  constexpr uint64_t kOne = 0x3ff0000000000000ULL;     // 1.0
+  constexpr uint64_t kNan = 0x7ff8000000000000ULL;     // quiet NaN
+  constexpr uint64_t kPosInf = 0x7ff0000000000000ULL;  // +inf
+  // One object of two points; the second point carries the bad value.
+  WriteWords(path, {kStoreMagic, 1, 0, 2, kOne, kOne, kNan, kOne});
+  EXPECT_TRUE(ObjectStore::LoadFromFile(path).status().IsCorruption());
+  WriteWords(path, {kStoreMagic, 1, 0, 2, kOne, kOne, kOne, kPosInf});
+  EXPECT_TRUE(ObjectStore::LoadFromFile(path).status().IsCorruption());
   std::remove(path.c_str());
 }
 

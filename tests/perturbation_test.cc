@@ -4,8 +4,8 @@
 // tie-break rule, not of the simulation model, so nothing observable may
 // depend on it. VerifyTieBreakInvariance reruns a join under seeded
 // permutations of that order and demands a byte-identical JoinResult and
-// exported Chrome trace every time — on both scheduler backends and for
-// every dispatch strategy of the paper. The companion check is dynamic:
+// exported Chrome trace every time, for every dispatch strategy of the
+// paper. The companion check is dynamic:
 // the same configurations run under an enabled AccessRegistry must report
 // zero determinism hazards.
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 
 #include "check/access_registry.h"
 #include "core/experiment.h"
-#include "sim/fiber_context.h"
 #include "sim/simulation.h"
 
 namespace psj {
@@ -36,26 +35,23 @@ std::vector<uint64_t> Seeds() {
 
 // Fig. 6-like probe: the speedup experiment's contended middle — several
 // processors on fewer disks, dynamic task allocation, reassignment on.
-ParallelJoinConfig Fig6Probe(sim::SchedulerBackend backend) {
+ParallelJoinConfig Fig6Probe() {
   ParallelJoinConfig config = ParallelJoinConfig::Gd();
   config.num_processors = 4;
   config.num_disks = 2;
   config.total_buffer_pages = 160;
   config.reassignment = ReassignmentLevel::kAllLevels;
   config.collect_pairs = true;
-  config.scheduler_backend = backend;
   return config;
 }
 
 // Fig. 8-like probe: the dispatch-strategy comparison — same machine shape
 // for each strategy.
-ParallelJoinConfig Fig8Probe(ParallelJoinConfig config,
-                             sim::SchedulerBackend backend) {
+ParallelJoinConfig Fig8Probe(ParallelJoinConfig config) {
   config.num_processors = 4;
   config.num_disks = 2;
   config.total_buffer_pages = 160;
   config.collect_pairs = true;
-  config.scheduler_backend = backend;
   return config;
 }
 
@@ -67,25 +63,16 @@ void ExpectInvariant(const ParallelJoinConfig& config) {
   EXPECT_TRUE(report.traces_identical) << report.divergence;
 }
 
-TEST(PerturbationTest, Fig6ProbeIsSeedInvariantOnThreadBackend) {
-  ExpectInvariant(Fig6Probe(sim::SchedulerBackend::kThread));
-}
-
-TEST(PerturbationTest, Fig6ProbeIsSeedInvariantOnFiberBackend) {
-  if (!sim::FiberContext::Supported()) {
-    GTEST_SKIP() << "fiber backend not available in this build";
-  }
-  ExpectInvariant(Fig6Probe(sim::SchedulerBackend::kFiber));
+TEST(PerturbationTest, Fig6ProbeIsSeedInvariant) {
+  ExpectInvariant(Fig6Probe());
 }
 
 TEST(PerturbationTest, LsrStrategyIsSeedInvariant) {
-  ExpectInvariant(
-      Fig8Probe(ParallelJoinConfig::Lsr(), sim::SchedulerBackend::kThread));
+  ExpectInvariant(Fig8Probe(ParallelJoinConfig::Lsr()));
 }
 
 TEST(PerturbationTest, GsrrStrategyIsSeedInvariant) {
-  ExpectInvariant(
-      Fig8Probe(ParallelJoinConfig::Gsrr(), sim::SchedulerBackend::kThread));
+  ExpectInvariant(Fig8Probe(ParallelJoinConfig::Gsrr()));
 }
 
 TEST(PerturbationTest, SeededRunsDifferFromIdentityOnlyInNothing) {
@@ -119,7 +106,7 @@ TEST(PerturbationTest, ShippedConfigsRunCleanUnderAccessRegistry) {
        {ParallelJoinConfig::Gd(), ParallelJoinConfig::Gsrr(),
         ParallelJoinConfig::Lsr()}) {
     check::AccessRegistry registry;
-    config = Fig8Probe(config, sim::SchedulerBackend::kThread);
+    config = Fig8Probe(config);
     config.check = &registry;
     auto result = TinyWorkload().RunJoin(config);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -131,7 +118,7 @@ TEST(PerturbationTest, ShippedConfigsRunCleanUnderAccessRegistry) {
 // Checking must observe, not perturb: a run with the registry enabled is
 // bit-identical to one without it.
 TEST(PerturbationTest, AccessRegistryDoesNotPerturbTheJoin) {
-  ParallelJoinConfig config = Fig6Probe(sim::SchedulerBackend::kThread);
+  ParallelJoinConfig config = Fig6Probe();
   auto plain = TinyWorkload().RunJoin(config);
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
 

@@ -1,19 +1,17 @@
 // Determinism suite (ctest label: sim_determinism).
 //
 // The simulation must produce bit-identical JoinResults — stats and the
-// full candidate/answer pair lists — across (a) repeated runs, (b) the
-// thread and fiber scheduler backends, and (c) sequential versus parallel
-// execution of a sweep on the experiment driver. This is the contract that
-// lets the wall-clock optimizations (user-mode fibers, O(log P) dispatch,
-// concurrent sweeps) claim they change no virtual-time result.
+// full candidate/answer pair lists — across (a) repeated runs, traced or
+// not, and (b) sequential versus parallel execution of a sweep on the
+// experiment driver. This is the contract that lets the wall-clock
+// optimizations (user-mode fibers, O(log P) dispatch, concurrent sweeps)
+// claim they change no virtual-time result.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "core/experiment.h"
-#include "sim/fiber_context.h"
-#include "sim/simulation.h"
 #include "trace/chrome_trace.h"
 #include "trace/trace_sink.h"
 
@@ -32,14 +30,13 @@ const PaperWorkload& TinyWorkload() {
 // A moderately contended configuration: several processors sharing fewer
 // disks, reassignment on, pair collection on so equality covers the full
 // join output, not just aggregate counters.
-ParallelJoinConfig ProbeConfig(sim::SchedulerBackend backend) {
+ParallelJoinConfig ProbeConfig() {
   ParallelJoinConfig config = ParallelJoinConfig::Gd();
   config.num_processors = 4;
   config.num_disks = 2;
   config.total_buffer_pages = 160;
   config.reassignment = ReassignmentLevel::kAllLevels;
   config.collect_pairs = true;
-  config.scheduler_backend = backend;
   return config;
 }
 
@@ -50,57 +47,36 @@ JoinResult RunOnce(const ParallelJoinConfig& config) {
 }
 
 TEST(SimDeterminismTest, RepeatedRunsAreBitIdentical) {
-  const ParallelJoinConfig config =
-      ProbeConfig(sim::SchedulerBackend::kThread);
+  const ParallelJoinConfig config = ProbeConfig();
   const JoinResult first = RunOnce(config);
   EXPECT_GT(first.stats.total_candidates, 0);
   EXPECT_FALSE(first.candidate_pairs.empty());
   EXPECT_EQ(first, RunOnce(config));
 }
 
-TEST(SimDeterminismTest, FiberAndThreadBackendsAgreeBitIdentically) {
-  if (!sim::FiberContext::Supported()) {
-    GTEST_SKIP() << "fiber backend not available in this build";
-  }
-  const JoinResult threaded =
-      RunOnce(ProbeConfig(sim::SchedulerBackend::kThread));
-  const JoinResult fibered =
-      RunOnce(ProbeConfig(sim::SchedulerBackend::kFiber));
-  EXPECT_GT(threaded.stats.total_candidates, 0);
-  EXPECT_EQ(threaded, fibered);
-}
-
 // Tracing inherits the determinism contract: the recorded event stream is a
 // pure function of the virtual-time schedule, so the exported Chrome trace
-// is byte-identical across backends — and recording must not perturb the
+// is byte-identical across reruns — and recording must not perturb the
 // join result itself.
-TEST(SimDeterminismTest, TraceExportIsByteIdenticalAcrossBackends) {
-  if (!sim::FiberContext::Supported()) {
-    GTEST_SKIP() << "fiber backend not available in this build";
-  }
-  const auto traced_run = [](sim::SchedulerBackend backend,
-                             std::string* exported) {
+TEST(SimDeterminismTest, TraceExportIsByteIdenticalAcrossReruns) {
+  const auto traced_run = [](std::string* exported) {
     trace::TraceSink sink;
-    ParallelJoinConfig config = ProbeConfig(backend);
+    ParallelJoinConfig config = ProbeConfig();
     config.trace = &sink;
     const JoinResult result = RunOnce(config);
     *exported = trace::ExportChromeTrace(sink);
     return result;
   };
-  std::string threaded_json;
-  std::string fibered_json;
-  const JoinResult threaded =
-      traced_run(sim::SchedulerBackend::kThread, &threaded_json);
-  const JoinResult fibered =
-      traced_run(sim::SchedulerBackend::kFiber, &fibered_json);
-  EXPECT_EQ(threaded, fibered);
-  EXPECT_FALSE(threaded_json.empty());
-  EXPECT_EQ(threaded_json, fibered_json);
+  std::string first_json;
+  std::string second_json;
+  const JoinResult first = traced_run(&first_json);
+  const JoinResult second = traced_run(&second_json);
+  EXPECT_EQ(first, second);
+  EXPECT_FALSE(first_json.empty());
+  EXPECT_EQ(first_json, second_json);
 
   // Recording events must not change the virtual-time outcome.
-  const JoinResult untraced =
-      RunOnce(ProbeConfig(sim::SchedulerBackend::kThread));
-  EXPECT_EQ(untraced, threaded);
+  EXPECT_EQ(RunOnce(ProbeConfig()), first);
 }
 
 TEST(SimDeterminismTest, ParallelDriverMatchesSequentialBitIdentically) {
@@ -109,8 +85,7 @@ TEST(SimDeterminismTest, ParallelDriverMatchesSequentialBitIdentically) {
   // pairwise and arrive in input order either way.
   std::vector<ParallelJoinConfig> configs;
   for (int n : {1, 2, 4, 6}) {
-    ParallelJoinConfig config =
-        ProbeConfig(sim::SchedulerBackend::kDefault);
+    ParallelJoinConfig config = ProbeConfig();
     config.num_processors = n;
     config.num_disks = (n + 1) / 2;
     config.total_buffer_pages = static_cast<size_t>(40) *

@@ -10,7 +10,7 @@
 
 #include "core/experiment.h"
 #include "report/speedup_profiler.h"
-#include "sim/fiber_context.h"
+#include "sim/simulation.h"
 #include "trace/trace_sink.h"
 
 namespace psj {
@@ -166,31 +166,26 @@ TEST(SpeedupProfilerTest, DecompositionSumsToTotalAcrossVariants) {
   }
 }
 
-// The profiler is a pure function of (trace, stats): identical runs on the
-// two scheduler backends decompose identically.
-TEST(SpeedupProfilerTest, BackendInvariance) {
-  if (!sim::FiberContext::Supported()) {
-    GTEST_SKIP() << "fiber backend not available in this build";
-  }
+// The profiler is a pure function of (trace, stats): identical reruns
+// decompose identically.
+TEST(SpeedupProfilerTest, RerunInvariance) {
   PaperWorkloadSpec spec;
   const PaperWorkload workload(spec.Scaled(0.02));
-  std::vector<SpeedupDecomposition> decompositions;
-  for (const sim::SchedulerBackend backend :
-       {sim::SchedulerBackend::kThread, sim::SchedulerBackend::kFiber}) {
+  const auto decompose = [&workload] {
     ParallelJoinConfig config = ParallelJoinConfig::Gd();
     config.num_processors = 4;
     config.num_disks = 4;
-    config.scheduler_backend = backend;
     trace::TraceSink sink;
     config.trace = &sink;
     auto result = workload.RunJoin(config);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    decompositions.push_back(DecomposeSpeedup(sink, result->stats, "x"));
-  }
-  EXPECT_EQ(decompositions[0].totals, decompositions[1].totals);
-  EXPECT_EQ(decompositions[0].per_processor,
-            decompositions[1].per_processor);
-  EXPECT_EQ(decompositions[0].Format(), decompositions[1].Format());
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return DecomposeSpeedup(sink, result->stats, "x");
+  };
+  const SpeedupDecomposition first = decompose();
+  const SpeedupDecomposition second = decompose();
+  EXPECT_EQ(first.totals, second.totals);
+  EXPECT_EQ(first.per_processor, second.per_processor);
+  EXPECT_EQ(first.Format(), second.Format());
 }
 
 }  // namespace

@@ -93,25 +93,6 @@ bool BoolFlag(int argc, char** argv, const char* key) {
   return value != nullptr && std::atoi(value) != 0;
 }
 
-// Parses the --backend flag shared by the simulating subcommands. The
-// backend only changes how the simulator schedules its processes on the
-// host; virtual-time results are identical either way.
-bool ParseBackend(int argc, char** argv, sim::SchedulerBackend* backend) {
-  const std::string value = StringFlag(argc, argv, "backend", "default");
-  if (value == "default") {
-    *backend = sim::SchedulerBackend::kDefault;
-  } else if (value == "thread") {
-    *backend = sim::SchedulerBackend::kThread;
-  } else if (value == "fiber") {
-    *backend = sim::SchedulerBackend::kFiber;
-  } else {
-    std::fprintf(stderr, "error: unknown --backend=%s "
-                         "(default|thread|fiber)\n", value.c_str());
-    return false;
-  }
-  return true;
-}
-
 // Parses "a,b,c,d" into doubles; returns false on malformed input.
 bool ParseDoubles(const std::string& text, size_t count, double* out) {
   const auto fields = SplitString(text, ',');
@@ -256,9 +237,6 @@ ParallelJoinConfig JoinConfigFromFlags(int argc, char** argv, bool* ok) {
   config.num_disks = IntFlag(argc, argv, "disks", config.num_processors);
   config.total_buffer_pages =
       static_cast<size_t>(IntFlag(argc, argv, "buffer", 800));
-  if (!ParseBackend(argc, argv, &config.scheduler_backend)) {
-    *ok = false;
-  }
   return config;
 }
 
@@ -745,9 +723,6 @@ int CmdWindow(int argc, char** argv) {
     return 2;
   }
   WindowQueryConfig config;
-  if (!ParseBackend(argc, argv, &config.scheduler_backend)) {
-    return 2;
-  }
   config.num_processors = IntFlag(argc, argv, "processors", 8);
   config.num_disks = IntFlag(argc, argv, "disks", config.num_processors);
   config.total_buffer_pages =
@@ -1004,13 +979,11 @@ int Usage() {
       "  join     --prefix=P [--variant=lsr|gsrr|gd|sn] [--processors=N]\n"
       "           [--disks=N] [--buffer=N] [--reassign=none|root|all]\n"
       "           [--placement=modulo|hilbert] [--second-filter=0|1]\n"
-      "           [--backend=default|thread|fiber]\n"
       "           [--sweep=n1,n2,...] [--jobs=N] [--json]\n"
       "           [--trace=OUT.json] [--timeline] [--check]\n"
       "           [--engine=sim|native|partition] [--threads=N] [--verify]\n"
       "           [--deterministic] [--grid=K]\n"
       "  window   --prefix=P --rect=xl,yl,xu,yu [--processors=N]\n"
-      "           [--backend=default|thread|fiber]\n"
       "  knn      --prefix=P --point=x,y [--k=N]\n"
       "  serve    --prefix=P [--qps=F] [--threads=N] [--batch-window=US]\n"
       "           [--duration-ms=N] [--single] [--deadline-us=N]\n"
